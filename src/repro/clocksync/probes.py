@@ -21,13 +21,15 @@ implements that test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 
-@dataclass(frozen=True)
-class ProbeExchange:
+class ProbeExchange(NamedTuple):
     """One timestamped probe observation in a single direction.
+
+    An immutable tuple: the service builds tens of thousands of these
+    per simulated second, and a tuple is cheaper to build than a frozen
+    dataclass.
 
     Attributes
     ----------

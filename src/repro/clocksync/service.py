@@ -21,19 +21,22 @@ sampled at every probe tick -- the statistic behind the paper's
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.clocksync.huygens import EstimationError, HuygensEstimator, SyncEstimate
 from repro.clocksync.probes import ProbeExchange, coded_probe_filter
+from repro.sim.clock import HostClock
 from repro.sim.engine import Simulator
 from repro.sim.latency import LatencyModel
 from repro.sim.network import Host, Network
-from repro.sim.rng import RngRegistry
+from repro.sim.rng import RngRegistry, integers_draw
 from repro.sim.timeunits import MICROSECOND, MILLISECOND
 
 __all__ = ["ClockSyncService", "SyncEstimate"]
+
+_BILLION = 1_000_000_000
 
 
 class _ClientState:
@@ -76,7 +79,8 @@ class ClockSyncService:
     spacing_tolerance_ns:
         Receive-spacing deviation beyond which a pair is discarded.
     timestamp_noise_ns:
-        Half-width of uniform NIC timestamping noise.
+        Half-width of uniform NIC timestamping noise (at most
+        ``2**31 - 1``, the widest span the noise draw supports).
     path_override:
         ``(forward_model, reverse_model)`` latency models replacing the
         data-plane link models -- used to route NTP probes through a
@@ -113,6 +117,17 @@ class ClockSyncService:
     ) -> None:
         if probe_interval_ns <= 0 or sync_interval_ns <= 0:
             raise ValueError("probe and sync intervals must be positive")
+        for name, value in (
+            ("coded_spacing_ns", coded_spacing_ns),
+            ("spacing_tolerance_ns", spacing_tolerance_ns),
+            ("timestamp_noise_ns", timestamp_noise_ns),
+        ):
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
+        # The noise draw covers [-noise, noise]: 2*noise + 1 values,
+        # and integers_draw spans at most 2**32.
+        if 2 * timestamp_noise_ns + 1 > 1 << 32:
+            raise ValueError(f"timestamp_noise_ns too large for the noise draw: {timestamp_noise_ns}")
         self.sim = sim
         self.network = network
         self.reference = reference
@@ -128,6 +143,7 @@ class ClockSyncService:
         self.use_mesh = use_mesh
         self.mesh_latency = mesh_latency
         self.rng = rngs.stream("clocksync:service")
+        self._randint = integers_draw(self.rng)
         self._state: Dict[str, _ClientState] = {c.name: _ClientState() for c in self.clients}
         self._started = False
 
@@ -161,8 +177,7 @@ class ClockSyncService:
                 # only parameterize clock reads and latency draws.
                 base = self.sim.now - (rounds - round_index) * self.sync_interval_ns
                 step = max(self.sync_interval_ns // n_ticks, 1)
-                for i in range(n_ticks):
-                    self._exchange_probes(client, state, at_true=base + i * step)
+                self._exchange_probes(client, state, range(base, base + n_ticks * step, step))
                 self._estimate_and_correct(client, state)
 
     # ------------------------------------------------------------------
@@ -175,43 +190,49 @@ class ClockSyncService:
         rev = self.network.link(client.name, self.reference.name).latency
         return fwd, rev
 
-    def _noise(self) -> int:
-        if self.timestamp_noise_ns == 0:
-            return 0
-        return int(self.rng.integers(-self.timestamp_noise_ns, self.timestamp_noise_ns + 1))
-
-    def _one_probe(
-        self,
-        send_clock,
-        recv_clock,
-        model: LatencyModel,
-        at_true: int,
+    def _probe(
+        self, sender: HostClock, receiver: HostClock, model: LatencyModel, at: int
     ) -> ProbeExchange:
-        delay = model.sample(self.rng, at_true)
-        return ProbeExchange(
-            sent_local=send_clock.raw_local(at_true) + self._noise(),
-            recv_local=recv_clock.raw_local(at_true + delay) + self._noise(),
-            sent_true=at_true,
-        )
+        """One probe from ``sender`` to ``receiver``, sent at true time ``at``.
 
-    def _exchange_probes(self, client: Host, state: _ClientState, at_true: int) -> None:
-        """Simulate one coded pair in each direction at true time ``at_true``."""
+        The only probe path.  Draw order is fixed: the delay (through
+        ``model.sample``), then the sender's and the receiver's
+        timestamp noise.  Raw clocks are read inline
+        (:meth:`HostClock.raw_local` at an explicit instant).
+        """
+        arrival = at + model.sample(self.rng, at)
+        low, high = -self.timestamp_noise_ns, self.timestamp_noise_ns + 1
+        randint = self._randint
+        sent = at + sender.offset_ns + (sender.drift_ppb * at) // _BILLION + randint(low, high)
+        recv = (
+            arrival + receiver.offset_ns + (receiver.drift_ppb * arrival) // _BILLION
+            + randint(low, high)
+        )
+        return ProbeExchange(sent, recv, at)
+
+    def _exchange_probes(self, client: Host, state: _ClientState, times: Iterable[int]) -> None:
+        """Simulate one coded pair in each direction at each true time in ``times``."""
         fwd_model, rev_model = self._path_models(client)
         ref_clock, cli_clock = self.reference.clock, client.clock
         spacing = self.coded_spacing_ns
-        fwd_first = self._one_probe(ref_clock, cli_clock, fwd_model, at_true)
-        fwd_second = self._one_probe(ref_clock, cli_clock, fwd_model, at_true + spacing)
-        rev_first = self._one_probe(cli_clock, ref_clock, rev_model, at_true)
-        rev_second = self._one_probe(cli_clock, ref_clock, rev_model, at_true + spacing)
-        state.forward_pairs.append((fwd_first, fwd_second))
-        state.reverse_pairs.append((rev_first, rev_second))
+        probe = self._probe
+        forward, reverse = state.forward_pairs, state.reverse_pairs
+        for at in times:
+            forward.append((
+                probe(ref_clock, cli_clock, fwd_model, at),
+                probe(ref_clock, cli_clock, fwd_model, at + spacing),
+            ))
+            reverse.append((
+                probe(cli_clock, ref_clock, rev_model, at),
+                probe(cli_clock, ref_clock, rev_model, at + spacing),
+            ))
 
     def _probe_tick(self) -> None:
         for client in self.clients:
             if not client.up:
                 continue
             state = self._state[client.name]
-            self._exchange_probes(client, state, at_true=self.sim.now)
+            self._exchange_probes(client, state, (self.sim.now,))
             state.error_samples_ns.append(client.clock.error_ns())
         self.sim.schedule(self.probe_interval_ns, self._probe_tick)
 
@@ -309,12 +330,12 @@ class ClockSyncService:
         n_ticks = max(self.sync_interval_ns // self.probe_interval_ns, 8)
         step = max(self.sync_interval_ns // n_ticks, 1)
         base = self.sim.now - self.sync_interval_ns
+        probe = self._probe
         forward = []
         reverse = []
-        for i in range(n_ticks):
-            at = base + i * step
-            forward.append(self._one_probe(a.clock, b.clock, model, at))
-            reverse.append(self._one_probe(b.clock, a.clock, model, at))
+        for at in range(base, base + n_ticks * step, step):
+            forward.append(probe(a.clock, b.clock, model, at))
+            reverse.append(probe(b.clock, a.clock, model, at))
         estimator = self.estimator
         if not hasattr(estimator, "min_samples"):
             estimator = HuygensEstimator()

@@ -17,7 +17,10 @@ name.
 :class:`BufferedStream` is the hot-path fast layer: a drop-in wrapper
 over a ``Generator`` that serves scalar draws from chunked bulk draws
 while remaining **bit-for-bit identical** to calling the generator one
-scalar at a time (see the class docstring for how).  The same
+scalar at a time (see the class docstring for how).
+:func:`integers_draw` is the scalar counterpart for bounded integer
+draws: a cheaper ``Generator.integers(low, high)`` with the same values
+and the same generator state afterwards.  The same
 name-to-entropy keying used for streams is exposed as
 :func:`derive_seed` for the sweep runner (:mod:`repro.exp`), which
 needs per-task seeds that depend only on the task's identity, never on
@@ -27,7 +30,7 @@ enumeration or execution order.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -57,6 +60,55 @@ def derive_seed(master_seed: int, key: str) -> int:
         raise TypeError(f"master_seed must be an int, got {type(master_seed).__name__}")
     seq = np.random.SeedSequence([master_seed, _name_to_entropy(key)])
     return int(seq.generate_state(1, np.uint64)[0]) >> 1
+
+
+_UINT32_SPAN = 1 << 32
+_LOW_WORD = _UINT32_SPAN - 1
+
+
+def integers_draw(generator: np.random.Generator) -> Callable[[int, int], int]:
+    """A fast scalar ``draw(low, high)`` equal to ``int(generator.integers(low, high))``.
+
+    ``Generator.integers`` pays ~1.7 us of argument handling per scalar
+    call.  The returned function reproduces numpy's algorithm for the
+    default int64 dtype with ``1 <= high - low <= 2**32`` -- the
+    ``random_bounded_uint64_fill`` branch for 32-bit ranges -- on the
+    bit generator's own ``next_uint32`` (its public ``ctypes``
+    interface), so values *and* the generator state afterwards are
+    identical to the numpy call, including the half-word that PCG64
+    buffers between 32-bit draws:
+
+    - span 1 returns ``low`` and consumes nothing;
+    - otherwise Lemire's multiply-shift with rejection: ``m =
+      next_uint32() * span``; while the low word of ``m`` is below
+      ``2**32 % span``, draw again; return ``low + (m >> 32)``.  For
+      span ``2**32`` this is ``low + next_uint32()``, numpy's special
+      case for that span.
+
+    Any other span raises ``ValueError``.  The draw takes no lock, so
+    the generator must not be shared across threads.  The function
+    keeps a reference to ``generator`` (as ``draw.generator``) so the
+    state address it writes through stays valid.
+    """
+    interface = generator.bit_generator.ctypes
+    next_uint32 = interface.next_uint32
+    address = interface.state_address
+
+    def draw(low: int, high: int) -> int:
+        span = high - low
+        if span == 1:
+            return low
+        if not 1 < span <= _UINT32_SPAN:
+            raise ValueError(f"span high - low must be in [1, 2**32], got {span}")
+        m = next_uint32(address) * span
+        if m & _LOW_WORD < span:
+            threshold = _UINT32_SPAN % span
+            while m & _LOW_WORD < threshold:
+                m = next_uint32(address) * span
+        return low + (m >> 32)
+
+    draw.generator = generator
+    return draw
 
 
 class RngRegistry:

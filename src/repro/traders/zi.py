@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.core.participant import Participant
 from repro.core.types import Side, Symbol
+from repro.sim.rng import integers_draw
 from repro.traders.base import Strategy
 
 
@@ -121,6 +122,7 @@ class ZeroIntelligenceStrategy(Strategy):
         self.aggression = aggression
         self.market_order_fraction = market_order_fraction
         self.cancel_fraction = cancel_fraction
+        self._randint = None  # integers_draw bound to the last rng seen
 
     def on_start(self, participant: Participant) -> None:
         participant.subscribe(self.symbols)
@@ -138,16 +140,19 @@ class ZeroIntelligenceStrategy(Strategy):
             participant.cancel(client_order_id, order.symbol)
             return
 
-        symbol = self.symbols[int(rng.integers(len(self.symbols)))]
+        randint = self._randint
+        if randint is None or randint.generator is not rng:
+            randint = self._randint = integers_draw(rng)
+        symbol = self.symbols[randint(0, len(self.symbols))]
         side = Side.BUY if rng.random() < 0.5 else Side.SELL
-        quantity = int(rng.integers(self.min_qty, self.max_qty + 1))
+        quantity = randint(self.min_qty, self.max_qty + 1)
         if roll < self.cancel_fraction + self.market_order_fraction:
             participant.submit_market(symbol, side, quantity)
             return
         reference = self._reference(participant, symbol)
         if rng.random() < self.aggression:
             # Marketable: price a couple of ticks through the touch.
-            through = int(rng.integers(1, 4))
+            through = randint(1, 4)
             offset = through if side is Side.BUY else -through
         else:
             # Passive: rest behind the reference price.

@@ -91,6 +91,29 @@ class TestHuygensService:
         with pytest.raises(ValueError):
             ClockSyncService(sim, network, ref, [], rngs, probe_interval_ns=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"timestamp_noise_ns": -1},
+            {"spacing_tolerance_ns": -1},
+            {"coded_spacing_ns": -1},
+            {"timestamp_noise_ns": 2**31},  # 2**32 + 1 noise values
+        ],
+    )
+    def test_invalid_probe_parameters_rejected_at_construction(self, kwargs):
+        sim = Simulator()
+        rngs = RngRegistry(1)
+        network = Network(sim, rngs)
+        ref = network.add_host("r")
+        with pytest.raises(ValueError):
+            ClockSyncService(sim, network, ref, [], rngs, **kwargs)
+
+    def test_widest_noise_span_accepted(self):
+        _, service, clients = build(n_clients=1, timestamp_noise_ns=2**31 - 1)
+        service.warm_start(1)  # probes draw noise from all 2**32 values
+        state = service._state[clients[0].name]
+        assert len(state.estimates) + state.failed_rounds == 1
+
 
 class TestNtpService:
     def test_ntp_offsets_are_milliseconds(self):
