@@ -26,7 +26,12 @@ import pytest
 
 from repro.analysis.tables import format_table
 from repro.core.cluster import CloudExCluster
+# The §4 testbed is defined next to CloudExConfig (``repro bench``
+# uses it too) and re-exported here for the benchmarks and perfbench.
+from repro.core.config import PAPER_SEED as PAPER_SEED
 from repro.core.config import CloudExConfig
+from repro.core.config import paper_testbed_config as paper_testbed_config
+from repro.core.config import paper_testbed_overrides as paper_testbed_overrides
 
 
 def bench_scale() -> float:
@@ -42,37 +47,6 @@ def bench_jobs() -> int:
     sooner on a multi-core machine.
     """
     return int(os.environ.get("CLOUDEX_BENCH_JOBS", "1"))
-
-
-#: The §4 testbed shape shared by every benchmark.  The seed is what
-#: every historical benchmark run used; sweeps pass it explicitly via
-#: ``SweepSpec(seeds=[PAPER_SEED])`` so trajectories stay unchanged.
-PAPER_SEED = 2021
-
-
-def paper_testbed_overrides(**overrides) -> dict:
-    """The §4 testbed as a plain override dict (for sweep specs):
-    48 participants, 16 gateways, 100 symbols, ~22k orders/s, one
-    shard unless overridden."""
-    defaults = dict(
-        n_participants=48,
-        n_gateways=16,
-        n_symbols=100,
-        n_shards=1,
-        orders_per_participant_per_s=450.0,
-        subscriptions_per_participant=2,
-        snapshot_interval_ms=100.0,
-        market_order_fraction=0.05,
-        cancel_fraction=0.05,
-    )
-    defaults.update(overrides)
-    return defaults
-
-
-def paper_testbed_config(**overrides) -> CloudExConfig:
-    """The §4 testbed as a built config (see paper_testbed_overrides)."""
-    seed = overrides.pop("seed", PAPER_SEED)
-    return CloudExConfig(seed=seed, **paper_testbed_overrides(**overrides))
 
 
 def run_measured(

@@ -17,27 +17,41 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.book import LimitOrderBook
 from repro.core.marketdata import BookSnapshot, TradeRecord
 from repro.core.messages import OrderConfirmation, StampedCancel, TradeConfirmation
 from repro.core.order import Order
 from repro.core.portfolio import PortfolioMatrix
-from repro.core.types import OrderStatus, OrderType, RejectReason, Symbol, TimeInForce
+from repro.core.types import OrderStatus, OrderType, RejectReason, Side, Symbol, TimeInForce
+
+#: Receives every execution as ``(symbol, price, quantity, buyer,
+#: seller, trade_id)``; ``buyer`` and ``seller`` are the two orders.
+TradeSink = Callable[[Symbol, int, int, Order, Order, int], None]
+
+#: How one order left the matching loop: the status it ended in, or
+#: the reason it was refused.
+Outcome = Union[OrderStatus, RejectReason]
+
+# Enum members used per order, bound once: attribute access on an Enum
+# class is a descriptor call, several times dearer than a global load.
+_BUY, _LIMIT, _MARKET = Side.BUY, OrderType.LIMIT, OrderType.MARKET
+_GTC, _IOC = TimeInForce.GTC, TimeInForce.IOC
+_ACCEPTED, _PARTIAL, _FILLED = OrderStatus.ACCEPTED, OrderStatus.PARTIALLY_FILLED, OrderStatus.FILLED
+_CANCELLED, _REJECTED = OrderStatus.CANCELLED, OrderStatus.REJECTED
 
 
 @dataclass
 class BatchMatchStats:
     """Aggregate outcome of a :meth:`MatchingEngineCore.process_batch`.
 
-    Field semantics mirror the scalar path's per-order confirmation
-    statuses exactly, so a batch's tallies equal the status histogram a
-    ``process_order`` loop would have produced (pinned by differential
-    tests): ``rejected`` counts unknown-symbol / duplicate-id rejects
-    plus market orders that found no liquidity; ``cancelled`` counts
-    unfilled IOC orders; ``filled`` / ``partially_filled`` / ``accepted``
-    follow ``OrderStatus``.
+    The counts are the status histogram of the confirmations a
+    ``process_order`` loop would have produced: ``rejected`` counts
+    every refused order (unknown symbol, duplicate id, halt, risk) plus
+    market orders that found no liquidity; ``cancelled`` counts
+    unfilled IOC orders; ``filled`` / ``partially_filled`` /
+    ``accepted`` follow ``OrderStatus``.
     """
 
     orders: int = 0
@@ -91,6 +105,20 @@ class MatchResult:
         return sum(trade.quantity for trade in self.trades)
 
 
+def _trade_conf(trade: TradeRecord, order: Order, now_local: int) -> TradeConfirmation:
+    """One counterparty's confirmation of ``trade``."""
+    return TradeConfirmation(
+        participant_id=order.participant_id,
+        client_order_id=order.client_order_id,
+        trade_id=trade.trade_id,
+        symbol=trade.symbol,
+        is_buy=order.is_buy,
+        quantity=trade.quantity,
+        price=trade.price,
+        engine_timestamp=now_local,
+    )
+
+
 class MatchingEngineCore:
     """Order books + matching rules for one set of symbols (one shard).
 
@@ -141,117 +169,151 @@ class MatchingEngineCore:
     # ------------------------------------------------------------------
     def process_order(self, order: Order, now_local: int) -> MatchResult:
         """Run one order through continuous price-time matching."""
-        book = self.books.get(order.symbol)
-        if book is None:
-            return MatchResult(
-                confirmation=self._reject(order, RejectReason.UNKNOWN_SYMBOL, now_local)
-            )
-        if book.is_resting(order.participant_id, order.client_order_id):
-            return MatchResult(
-                confirmation=self._reject(order, RejectReason.DUPLICATE_ORDER_ID, now_local)
-            )
-        if self.circuit_breaker is not None and self.circuit_breaker.is_halted(
-            order.symbol, now_local
-        ):
-            self.halt_rejects += 1
-            return MatchResult(
-                confirmation=self._reject(order, RejectReason.SYMBOL_HALTED, now_local)
-            )
-        if self.risk_policy is not None and self.portfolio.has_account(order.participant_id):
-            reason = self.risk_policy.check(
-                order,
-                self.portfolio.account(order.participant_id),
-                self.reference_price(order.symbol),
-            )
-            if reason is not None:
-                self.risk_rejects += 1
-                return MatchResult(confirmation=self._reject(order, reason, now_local))
+        trades: List[TradeRecord] = []
+        confs: List[TradeConfirmation] = []
+        stp_cancels: List[Order] = []
+        settle = self.portfolio.apply_trade
+        is_buy = order.is_buy
 
-        self.orders_processed += 1
-        trades, trade_confs, stp_cancels = self._match(order, book, now_local)
+        def sink(symbol, price, quantity, buyer, seller, trade_id):
+            trade = TradeRecord(
+                trade_id=trade_id,
+                symbol=symbol,
+                price=price,
+                quantity=quantity,
+                buyer=buyer.participant_id,
+                seller=seller.participant_id,
+                buy_client_order_id=buyer.client_order_id,
+                sell_client_order_id=seller.client_order_id,
+                executed_local=now_local,
+                aggressor_is_buy=is_buy,
+            )
+            settle(trade)
+            trades.append(trade)
+            confs.append(_trade_conf(trade, order, now_local))
+            confs.append(_trade_conf(trade, seller if is_buy else buyer, now_local))
 
-        if order.order_type is OrderType.MARKET:
-            confirmation = self._confirm_market(order, now_local)
+        outcomes: List[Outcome] = []
+        self._match_orders((order,), (now_local,), sink, outcomes, stp_cancels)
+        outcome = outcomes[0]
+        if isinstance(outcome, RejectReason):
+            status, reason, remaining = _REJECTED, outcome, order.remaining
         else:
-            confirmation = self._confirm_limit(order, book, now_local)
-        return MatchResult(
-            confirmation=confirmation,
-            trades=trades,
-            trade_confirmations=trade_confs,
-            stp_cancels=stp_cancels,
+            status, reason = outcome, None
+            rests = order.order_type is _LIMIT and order.time_in_force is _GTC
+            remaining = order.remaining if rests else 0
+        confirmation = OrderConfirmation(
+            participant_id=order.participant_id,
+            client_order_id=order.client_order_id,
+            symbol=order.symbol,
+            status=status,
+            filled=order.quantity - order.remaining,
+            remaining=remaining,
+            engine_timestamp=now_local,
+            reason=reason,
         )
+        return MatchResult(confirmation, trades, confs, stp_cancels)
 
     def process_batch(
-        self,
-        orders: List[Order],
-        times: List[int],
-        on_trade=None,
-        settle: bool = True,
+        self, orders: Sequence[Order], times: Sequence[int], on_trade: TradeSink
     ) -> BatchMatchStats:
         """Match a pre-ordered batch of orders without per-order results.
 
-        Behaviourally equivalent to ``process_order(order, t)`` for each
-        ``(order, t)`` pair in sequence -- same book mutations, same
-        trade-id consumption, same ``last_trade_price`` updates, same
-        settlement -- but skips the per-order ``OrderConfirmation`` /
-        ``TradeConfirmation`` / ``MatchResult`` allocations, which are
-        most of the scalar path's cost once the network layer is out of
-        the picture.  This is the batched kernel's inner loop
-        (:mod:`repro.core.shardrun`); the differential tests pin the
-        equivalence.
+        The same loop as ``process_order(order, t)`` for each ``(order,
+        t)`` pair in sequence -- same book mutations, trade ids, counters
+        and ``last_trade_price`` -- minus the per-order confirmation
+        objects.  Settlement is the caller's: every execution goes to
+        ``on_trade(symbol, price, quantity, buyer, seller, trade_id)``
+        and nothing is applied to the portfolio matrix.  This is the
+        batched kernel's inner loop (:mod:`repro.core.shardrun`).
 
-        Parameters
-        ----------
-        orders, times:
-            Parallel sequences; ``times[i]`` is the engine-local
-            timestamp for ``orders[i]`` (the batch must already be in
-            processing order -- the caller owns sequencing).
-        on_trade:
-            Optional callback ``(symbol, price, quantity, buyer, seller)``
-            invoked per execution with the two :class:`Order` objects --
-            the hook the shard runner uses for bucketed accounting.
-        settle:
-            When False, trades are not applied to the portfolio matrix
-            (the shard runner settles through its own bucket accounting
-            instead).  Trade ids are consumed either way so the id
-            stream stays identical across modes.
-
-        The risk-policy / circuit-breaker / self-trade-prevention paths
-        need the full per-order machinery; configuring any of them makes
-        this method raise ``ValueError``.
+        ``times[i]`` is the engine-local timestamp for ``orders[i]``;
+        the batch must already be in processing order (the caller owns
+        sequencing).
         """
-        if (
-            self.risk_policy is not None
-            or self.circuit_breaker is not None
-            or self.self_trade_prevention
-        ):
-            raise ValueError(
-                "process_batch supports the plain core only; risk policy, "
-                "circuit breaker, and STP require process_order"
-            )
-        stats = BatchMatchStats()
+        outcomes: List[Outcome] = []
+        trades, traded_qty, notional = self._match_orders(orders, times, on_trade, outcomes, [])
+        count = outcomes.count
+        stats = BatchMatchStats(
+            orders=len(outcomes),
+            accepted=count(_ACCEPTED),
+            partially_filled=count(_PARTIAL),
+            filled=count(_FILLED),
+            cancelled=count(_CANCELLED),
+            trades=trades,
+            traded_qty=traded_qty,
+            notional=notional,
+        )
+        stats.rejected = stats.orders - (
+            stats.accepted + stats.partially_filled + stats.filled + stats.cancelled
+        )
+        return stats
+
+    def _match_orders(
+        self,
+        orders: Iterable[Order],
+        times: Iterable[int],
+        sink: TradeSink,
+        outcomes: List[Outcome],
+        stp_cancels: List[Order],
+    ) -> Tuple[int, int, int]:
+        """The one continuous price-time loop.
+
+        For each order in sequence: the pre-checks (unknown symbol,
+        duplicate id, halt, risk), the sweep against the opposite side,
+        then the rest/IOC/market disposition.  Each execution consumes
+        one trade id and goes to ``sink(symbol, price, quantity, buyer,
+        seller, trade_id)``; each order appends one outcome to
+        ``outcomes`` -- the :class:`OrderStatus` it ended in, or the
+        :class:`RejectReason` that refused it.  Resting orders cancelled
+        by self-trade prevention are appended to ``stp_cancels``.
+        Returns the executions' count, total quantity and notional.
+        """
         books = self.books
         trade_ids = self._trade_ids
-        portfolio = self.portfolio
         last_trade_price = self.last_trade_price
-        market = OrderType.MARKET
-        gtc = TimeInForce.GTC
-        ioc = TimeInForce.IOC
+        breaker = self.circuit_breaker
+        risk_policy = self.risk_policy
+        portfolio = self.portfolio
+        stp = self.self_trade_prevention
+        record = outcomes.append
+        trades = traded_qty = notional = 0
         for order, now_local in zip(orders, times):
-            stats.orders += 1
-            book = books.get(order.symbol)
-            if book is None or book.is_resting(order.participant_id, order.client_order_id):
-                stats.rejected += 1
+            symbol = order.symbol
+            participant = order.participant_id
+            book = books.get(symbol)
+            if book is None:
+                record(RejectReason.UNKNOWN_SYMBOL)
                 continue
+            if book.is_resting(participant, order.client_order_id):
+                record(RejectReason.DUPLICATE_ORDER_ID)
+                continue
+            if breaker is not None and breaker.is_halted(symbol, now_local):
+                self.halt_rejects += 1
+                record(RejectReason.SYMBOL_HALTED)
+                continue
+            if risk_policy is not None and portfolio.has_account(participant):
+                reason = risk_policy.check(
+                    order, portfolio.account(participant), self.reference_price(symbol)
+                )
+                if reason is not None:
+                    self.risk_rejects += 1
+                    record(reason)
+                    continue
             self.orders_processed += 1
             side = order.side
             limit = order.limit_price
-            is_buy = order.is_buy
-            symbol = order.symbol
+            is_buy = side is _BUY
             opposite = book.side(side.opposite)
             while order.remaining > 0 and book.crosses(side, limit):
                 level = opposite.best_level()
                 resting = level.front()
+                if stp and resting.participant_id == participant:
+                    level.pop_front()
+                    book.forget(resting)
+                    stp_cancels.append(resting)
+                    self.stp_cancellations += 1
+                    continue
                 quantity = min(order.remaining, resting.remaining)
                 price = level.price
                 order.remaining -= quantity
@@ -261,187 +323,39 @@ class MatchingEngineCore:
                     book.forget(resting)
                 else:
                     level.reduce(quantity)
-                trade_id = next(trade_ids)
+                if is_buy:
+                    sink(symbol, price, quantity, order, resting, next(trade_ids))
+                else:
+                    sink(symbol, price, quantity, resting, order, next(trade_ids))
                 last_trade_price[symbol] = price
-                stats.trades += 1
-                stats.traded_qty += quantity
-                stats.notional += price * quantity
-                buyer, seller = (order, resting) if is_buy else (resting, order)
-                if settle:
-                    portfolio.apply_trade(
-                        TradeRecord(
-                            trade_id=trade_id,
-                            symbol=symbol,
-                            price=price,
-                            quantity=quantity,
-                            buyer=buyer.participant_id,
-                            seller=seller.participant_id,
-                            buy_client_order_id=buyer.client_order_id,
-                            sell_client_order_id=seller.client_order_id,
-                            executed_local=now_local,
-                            aggressor_is_buy=is_buy,
-                        )
-                    )
-                if on_trade is not None:
-                    on_trade(symbol, price, quantity, buyer, seller)
-            if order.order_type is market:
-                if order.remaining == order.quantity:
-                    stats.rejected += 1  # NO_LIQUIDITY in the scalar path
-                elif order.remaining == 0:
-                    stats.filled += 1
-                else:
-                    stats.partially_filled += 1
-            else:
-                if order.remaining > 0 and order.time_in_force is gtc:
-                    book.add_resting(order)
-                if order.remaining == 0:
-                    stats.filled += 1
-                elif order.remaining < order.quantity:
-                    stats.partially_filled += 1
-                elif order.time_in_force is ioc:
-                    stats.cancelled += 1
-                else:
-                    stats.accepted += 1
-        return stats
-
-    def _match(
-        self, order: Order, book: LimitOrderBook, now_local: int
-    ) -> Tuple[List[TradeRecord], List[TradeConfirmation], List[Order]]:
-        trades: List[TradeRecord] = []
-        confs: List[TradeConfirmation] = []
-        stp_cancels: List[Order] = []
-        opposite = book.side(order.side.opposite)
-        while order.remaining > 0 and book.crosses(order.side, order.limit_price):
-            level = opposite.best_level()
-            assert level is not None  # crosses() guarantees it
-            resting = level.front()
-            if (
-                self.self_trade_prevention
-                and resting.participant_id == order.participant_id
-            ):
-                level.pop_front()
-                book.forget(resting)
-                stp_cancels.append(resting)
-                self.stp_cancellations += 1
-                continue
-            quantity = min(order.remaining, resting.remaining)
-            price = level.price
-            trade = TradeRecord(
-                trade_id=next(self._trade_ids),
-                symbol=order.symbol,
-                price=price,
-                quantity=quantity,
-                buyer=order.participant_id if order.is_buy else resting.participant_id,
-                seller=resting.participant_id if order.is_buy else order.participant_id,
-                buy_client_order_id=(
-                    order.client_order_id if order.is_buy else resting.client_order_id
-                ),
-                sell_client_order_id=(
-                    resting.client_order_id if order.is_buy else order.client_order_id
-                ),
-                executed_local=now_local,
-                aggressor_is_buy=order.is_buy,
-            )
-            order.fill(quantity)
-            resting.fill(quantity)
-            if resting.is_filled:
-                level.pop_front()
-                book.forget(resting)
-            else:
-                level.reduce(quantity)
-            self.portfolio.apply_trade(trade)
-            self.last_trade_price[order.symbol] = price
-            if self.circuit_breaker is not None:
-                tripped = self.circuit_breaker.on_trade(order.symbol, price, now_local)
-                if tripped:
+                trades += 1
+                traded_qty += quantity
+                notional += price * quantity
+                if breaker is not None and breaker.on_trade(symbol, price, now_local):
                     # The triggering execution stands; the rest of the
                     # sweep stops with the halt.
-                    trades.append(trade)
-                    confs.append(self._trade_conf(trade, aggressor=order, now_local=now_local))
-                    confs.append(
-                        self._trade_conf(trade, aggressor=None, resting=resting, now_local=now_local)
-                    )
                     break
-            trades.append(trade)
-            confs.append(self._trade_conf(trade, aggressor=order, now_local=now_local))
-            confs.append(self._trade_conf(trade, aggressor=None, resting=resting, now_local=now_local))
-        return trades, confs, stp_cancels
-
-    def _trade_conf(
-        self,
-        trade: TradeRecord,
-        aggressor: Optional[Order],
-        now_local: int = 0,
-        resting: Optional[Order] = None,
-    ) -> TradeConfirmation:
-        order = aggressor if aggressor is not None else resting
-        assert order is not None
-        return TradeConfirmation(
-            participant_id=order.participant_id,
-            client_order_id=order.client_order_id,
-            trade_id=trade.trade_id,
-            symbol=trade.symbol,
-            is_buy=order.is_buy,
-            quantity=trade.quantity,
-            price=trade.price,
-            engine_timestamp=now_local,
-        )
-
-    def _confirm_market(self, order: Order, now_local: int) -> OrderConfirmation:
-        filled = order.quantity - order.remaining
-        if filled == 0:
-            return self._reject(order, RejectReason.NO_LIQUIDITY, now_local)
-        status = OrderStatus.FILLED if order.is_filled else OrderStatus.PARTIALLY_FILLED
-        return OrderConfirmation(
-            participant_id=order.participant_id,
-            client_order_id=order.client_order_id,
-            symbol=order.symbol,
-            status=status,
-            filled=filled,
-            remaining=0,  # a market remainder never rests
-            engine_timestamp=now_local,
-        )
-
-    def _confirm_limit(
-        self, order: Order, book: LimitOrderBook, now_local: int
-    ) -> OrderConfirmation:
-        filled = order.quantity - order.remaining
-        if order.remaining > 0 and order.time_in_force is TimeInForce.GTC:
-            book.add_resting(order)
             remaining = order.remaining
-        else:
-            remaining = order.remaining if order.time_in_force is TimeInForce.GTC else 0
-        if order.is_filled:
-            status = OrderStatus.FILLED
-        elif filled > 0:
-            status = OrderStatus.PARTIALLY_FILLED
-        elif order.time_in_force is TimeInForce.IOC:
-            status = OrderStatus.CANCELLED
-        else:
-            status = OrderStatus.ACCEPTED
-        return OrderConfirmation(
-            participant_id=order.participant_id,
-            client_order_id=order.client_order_id,
-            symbol=order.symbol,
-            status=status,
-            filled=filled,
-            remaining=remaining,
-            engine_timestamp=now_local,
-        )
-
-    def _reject(
-        self, order: Order, reason: RejectReason, now_local: int
-    ) -> OrderConfirmation:
-        return OrderConfirmation(
-            participant_id=order.participant_id,
-            client_order_id=order.client_order_id,
-            symbol=order.symbol,
-            status=OrderStatus.REJECTED,
-            filled=order.quantity - order.remaining,
-            remaining=order.remaining,
-            engine_timestamp=now_local,
-            reason=reason,
-        )
+            if order.order_type is _MARKET:
+                # A market remainder never rests.
+                if remaining == order.quantity:
+                    record(RejectReason.NO_LIQUIDITY)
+                elif remaining == 0:
+                    record(_FILLED)
+                else:
+                    record(_PARTIAL)
+                continue
+            if remaining > 0 and order.time_in_force is _GTC:
+                book.add_resting(order)
+            if remaining == 0:
+                record(_FILLED)
+            elif remaining < order.quantity:
+                record(_PARTIAL)
+            elif order.time_in_force is _IOC:
+                record(_CANCELLED)
+            else:
+                record(_ACCEPTED)
+        return trades, traded_qty, notional
 
     # ------------------------------------------------------------------
     # Cancels

@@ -91,6 +91,18 @@ class ShardRunConfig:
             raise ValueError(f"duration must be positive, got {self.duration_s}")
         if self.portfolio_buckets < 1:
             raise ValueError(f"need at least one bucket, got {self.portfolio_buckets}")
+        if self.rate_per_participant_s <= 0:
+            raise ValueError(
+                f"rate_per_participant_s must be positive, got {self.rate_per_participant_s}"
+            )
+        if self.min_qty < 1 or self.max_qty < self.min_qty:
+            raise ValueError(
+                f"need 1 <= min_qty <= max_qty, got min_qty={self.min_qty} max_qty={self.max_qty}"
+            )
+        for name in ("market_order_fraction", "aggression"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0,1], got {value}")
 
     def symbol_universe(self) -> Tuple[str, ...]:
         return tuple(f"SYM{i:03d}" for i in range(self.n_symbols))
@@ -187,8 +199,6 @@ class ShardProgram:
         self._n_buckets = config.portfolio_buckets
         self._bucket_pos = [0] * (self._n_buckets * len(self.symbols))
         self._bucket_cash = [0] * self._n_buckets
-        self._window_volume = 0
-        self._window_value = 0
 
     # ------------------------------------------------------------------
     # Window protocol
@@ -228,19 +238,16 @@ class ShardProgram:
         batch = self._eligible
         stats = self.core.process_batch(
             self._build_orders(batch), [self._col_stamp[i] for i in batch],
-            on_trade=self._on_trade, settle=False,
+            self._on_trade,
         )
         batch.clear()
         self.stats.merge(stats)
-        result = {
+        return {
             "orders": stats.orders,
             "trades": stats.trades,
-            "volume": self._window_volume,
-            "value": self._window_value,
+            "volume": stats.traded_qty,
+            "value": stats.notional,
         }
-        self._window_volume = 0
-        self._window_value = 0
-        return result
 
     def _build_orders(self, batch: List[int]) -> List[Order]:
         symbols = self.symbols
@@ -255,13 +262,11 @@ class ShardProgram:
         buy, sell = Side.BUY, Side.SELL
         limit_t, market_t = OrderType.LIMIT, OrderType.MARKET
         gtc = TimeInForce.GTC
-        n_buckets = self._n_buckets
         orders = []
         append = orders.append
         for i in batch:
             j = col_symbol[i]
             qty = col_qty[i]
-            pid = col_pid[i]
             if col_market[i]:
                 order_type, price = market_t, None
             else:
@@ -272,7 +277,7 @@ class ShardProgram:
             order = Order.__new__(Order)
             order.__dict__ = {
                 "client_order_id": i,
-                "participant_id": str(pid),
+                "participant_id": str(col_pid[i]),
                 "symbol": symbols[j],
                 "side": buy if col_side[i] else sell,
                 "order_type": order_type,
@@ -285,24 +290,25 @@ class ShardProgram:
                 "remaining": qty,
                 "submitted_true": -1,
                 "stamped_true": col_stamp[i],
-                "bucket": pid % n_buckets,
-                "symbol_index": j,
             }
             append(order)
         return orders
 
-    def _on_trade(self, symbol: str, price: int, quantity: int, buyer: Order, seller: Order) -> None:
+    def _on_trade(
+        self, symbol: str, price: int, quantity: int, buyer: Order, seller: Order, trade_id: int
+    ) -> None:
+        """Bucketed settlement of one execution."""
         notional = price * quantity
-        self._window_volume += quantity
-        self._window_value += notional
-        j = buyer.__dict__["symbol_index"]
-        pos = self._bucket_pos
+        j = self._sym_index[symbol]
         n_symbols = len(self.symbols)
-        pos[buyer.__dict__["bucket"] * n_symbols + j] += quantity
-        pos[seller.__dict__["bucket"] * n_symbols + j] -= quantity
+        buyer_bucket = int(buyer.participant_id) % self._n_buckets
+        seller_bucket = int(seller.participant_id) % self._n_buckets
+        pos = self._bucket_pos
+        pos[buyer_bucket * n_symbols + j] += quantity
+        pos[seller_bucket * n_symbols + j] -= quantity
         cash = self._bucket_cash
-        cash[buyer.__dict__["bucket"]] -= notional
-        cash[seller.__dict__["bucket"]] += notional
+        cash[buyer_bucket] -= notional
+        cash[seller_bucket] += notional
 
     def finish(self) -> Dict[str, Any]:
         """Final per-shard summary (deterministic fields only)."""

@@ -17,13 +17,14 @@ has no one to interrupt it.
 
 from __future__ import annotations
 
-import multiprocessing
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
 from time import monotonic
 from typing import Any, Callable, List, Optional, Sequence
+
+from repro.sim.parallel import mp_context
 
 
 @dataclass
@@ -43,13 +44,6 @@ class _InFlight:
     attempt: int
     process: Any
     deadline: Optional[float] = field(default=None)
-
-
-def _mp_context():
-    """Prefer fork (cheap, no pickling of the worker fn); fall back to
-    spawn on platforms without it."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
 def _child_main(conn, worker: Callable[[Any], Any], item: Any) -> None:
@@ -91,7 +85,7 @@ def run_parallel(
                 results.append(TaskResult(ok=False, error=traceback.format_exc()))
         return results
 
-    ctx = _mp_context()
+    ctx = mp_context()
     results: List[Optional[TaskResult]] = [None] * len(items)
     pending = deque((i, 0) for i in range(len(items)))
     running = {}  # parent conn -> _InFlight

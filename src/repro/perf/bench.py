@@ -322,24 +322,11 @@ def run_micro_suite(quick: bool, repeats: int = 3, jobs: int = 1) -> dict:
 
 
 def _testbed_config(n_shards: int):
-    """The §4 testbed at saturation load, as in
-    ``benchmarks/bench_table1_sharding.py`` (kept in sync by
-    ``tests/perf/test_bench.py``): 48 participants, 16 gateways, 100
-    symbols, overload rate, no cancels."""
-    from repro.core.config import CloudExConfig
+    """The §4 testbed with no cancels, as in
+    ``benchmarks/bench_table1_sharding.py``."""
+    from repro.core.config import paper_testbed_config
 
-    return CloudExConfig(
-        seed=2021,
-        n_participants=48,
-        n_gateways=16,
-        n_symbols=100,
-        n_shards=n_shards,
-        orders_per_participant_per_s=450.0,
-        subscriptions_per_participant=2,
-        snapshot_interval_ms=100.0,
-        market_order_fraction=0.05,
-        cancel_fraction=0.0,
-    )
+    return paper_testbed_config(n_shards=n_shards, cancel_fraction=0.0)
 
 
 def _run_macro_once(n_shards: int, duration_s: float) -> Tuple[float, dict]:

@@ -39,13 +39,12 @@ class ShardWorkerError(RuntimeError):
     """A shard worker failed repeatedly (crash or timeout after replay)."""
 
 
-def _mp_context():
-    """Prefer fork (cheap, inherits the parent image); fall back to
-    spawn where fork is unavailable.  Mirrors :mod:`repro.exp.pool`."""
-    try:
-        return mp.get_context("fork")
-    except ValueError:  # pragma: no cover - non-posix fallback
-        return mp.get_context("spawn")
+def mp_context():
+    """The worker-process start method shared by this runner and
+    :mod:`repro.exp.pool`: fork (cheap, inherits the parent image, no
+    pickling of the worker function) where available, else spawn."""
+    methods = mp.get_all_start_methods()
+    return mp.get_context("fork" if "fork" in methods else "spawn")
 
 
 def _worker_main(conn, factory, factory_args, shard_ids) -> None:
@@ -126,7 +125,7 @@ class ConservativeShardRunner:
             self._workers: List[Optional[dict]] = []
         else:
             self._shards = None
-            self._ctx = _mp_context()
+            self._ctx = mp_context()
             self._assignment = [
                 [s for s in range(n_shards) if s % self.jobs == w] for w in range(self.jobs)
             ]

@@ -1,10 +1,11 @@
-"""Differential tests: ``process_batch`` == a ``process_order`` loop.
+"""Contract tests: ``process_batch`` == a ``process_order`` loop.
 
-The batched kernel's inner loop skips every per-order allocation the
-scalar path makes, so its correctness argument is equivalence, not
-inspection: run the same random order stream through both paths and
-demand identical books, trades, settlement, counters, and status
-tallies.
+Both wrap the one matching loop and differ only in their trade sink
+and in how they report per-order outcomes, so run the same random
+order stream through both -- on a plain core and on cores with
+self-trade prevention, a circuit breaker and a risk policy -- and
+demand identical books, trades, trade ids, settlement, counters, and
+status tallies.
 """
 
 import itertools
@@ -12,9 +13,12 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.core.marketdata import TradeRecord
 from repro.core.matching import BatchMatchStats, MatchingEngineCore
 from repro.core.order import Order
 from repro.core.portfolio import PortfolioMatrix
+from repro.core.risk import MarginRiskPolicy
+from repro.core.surveillance import CircuitBreaker
 from repro.core.types import OrderStatus, OrderType, Side, TimeInForce
 
 SYMBOLS = ("AAA", "BBB", "CCC")
@@ -55,11 +59,27 @@ def _random_specs(seed, n):
     return specs
 
 
-def _build_core():
+CONFIGURED = {
+    "stp": lambda: dict(self_trade_prevention=True),
+    "breaker": lambda: dict(
+        circuit_breaker=CircuitBreaker(threshold=0.001, window_ns=5_000, halt_ns=2_000)
+    ),
+    "risk": lambda: dict(risk_policy=MarginRiskPolicy(max_position=60)),
+    "all": lambda: dict(
+        self_trade_prevention=True,
+        circuit_breaker=CircuitBreaker(threshold=0.001, window_ns=5_000, halt_ns=2_000),
+        risk_policy=MarginRiskPolicy(max_position=60),
+    ),
+}
+
+
+def _build_core(**core_kwargs):
     portfolio = PortfolioMatrix()
     for pid in PARTICIPANTS:
         portfolio.open_account(pid, cash=0)
-    return MatchingEngineCore(SYMBOLS, portfolio, trade_id_counter=itertools.count(1))
+    return MatchingEngineCore(
+        SYMBOLS, portfolio, trade_id_counter=itertools.count(1), **core_kwargs
+    )
 
 
 def _book_state(core):
@@ -85,65 +105,89 @@ STATUS_FIELD = {
 }
 
 
+def _counters(core):
+    return (
+        core.orders_processed,
+        core.halt_rejects,
+        core.risk_rejects,
+        core.stp_cancellations,
+        dict(core.last_trade_price),
+    )
+
+
+def _assert_batch_equals_scalar(seed, configure=dict):
+    """Run one random stream through both wrappers of the matching
+    loop; return the scalar core for path-coverage checks."""
+    specs = _random_specs(seed, 400)
+    times = [100 * (i + 1) for i in range(len(specs))]
+
+    scalar = _build_core(**configure())
+    expected = BatchMatchStats()
+    scalar_trades = []
+    for spec, t in zip(specs, times):
+        result = scalar.process_order(Order(**spec), t)
+        expected.orders += 1
+        field = STATUS_FIELD[result.confirmation.status]
+        setattr(expected, field, getattr(expected, field) + 1)
+        expected.trades += len(result.trades)
+        expected.traded_qty += result.traded_quantity
+        expected.notional += sum(tr.price * tr.quantity for tr in result.trades)
+        scalar_trades.extend(
+            (tr.trade_id, tr.symbol, tr.price, tr.quantity, tr.buyer, tr.seller)
+            for tr in result.trades
+        )
+
+    batched = _build_core(**configure())
+    batch_trades = []
+
+    def settle(symbol, price, qty, buyer, seller, trade_id):
+        # Settlement is the sink's job; risk checks read the result.
+        batched.portfolio.apply_trade(
+            TradeRecord(
+                trade_id=trade_id,
+                symbol=symbol,
+                price=price,
+                quantity=qty,
+                buyer=buyer.participant_id,
+                seller=seller.participant_id,
+                buy_client_order_id=buyer.client_order_id,
+                sell_client_order_id=seller.client_order_id,
+                executed_local=0,
+                aggressor_is_buy=False,
+            )
+        )
+        batch_trades.append(
+            (trade_id, symbol, price, qty, buyer.participant_id, seller.participant_id)
+        )
+
+    stats = batched.process_batch([Order(**spec) for spec in specs], times, settle)
+
+    assert stats == expected
+    assert batch_trades == scalar_trades
+    assert _book_state(batched) == _book_state(scalar)
+    assert _counters(batched) == _counters(scalar)
+    assert _portfolio_state(batched) == _portfolio_state(scalar)
+    # Both paths consumed the same number of trade ids.
+    assert next(batched._trade_ids) == next(scalar._trade_ids)
+    return scalar
+
+
 class TestProcessBatchEquivalence:
     @pytest.mark.parametrize("seed", [1, 7, 2021, 90210])
     def test_matches_scalar_path(self, seed):
-        specs = _random_specs(seed, 400)
-        times = [100 * (i + 1) for i in range(len(specs))]
+        _assert_batch_equals_scalar(seed)
 
-        scalar = _build_core()
-        expected = BatchMatchStats()
-        scalar_trades = []
-        for spec, t in zip(specs, times):
-            result = scalar.process_order(Order(**spec), t)
-            expected.orders += 1
-            field = STATUS_FIELD[result.confirmation.status]
-            setattr(expected, field, getattr(expected, field) + 1)
-            expected.trades += len(result.trades)
-            expected.traded_qty += result.traded_quantity
-            expected.notional += sum(tr.price * tr.quantity for tr in result.trades)
-            scalar_trades.extend(
-                (tr.symbol, tr.price, tr.quantity, tr.buyer, tr.seller) for tr in result.trades
-            )
-
-        batched = _build_core()
-        batch_trades = []
-        stats = batched.process_batch(
-            [Order(**spec) for spec in specs],
-            times,
-            on_trade=lambda symbol, price, qty, buyer, seller: batch_trades.append(
-                (symbol, price, qty, buyer.participant_id, seller.participant_id)
-            ),
-        )
-
-        assert stats == expected
-        assert batch_trades == scalar_trades
-        assert _book_state(batched) == _book_state(scalar)
-        assert batched.last_trade_price == scalar.last_trade_price
-        assert batched.orders_processed == scalar.orders_processed
-        assert _portfolio_state(batched) == _portfolio_state(scalar)
-        # Both paths consumed the same number of trade ids.
-        assert next(batched._trade_ids) == next(scalar._trade_ids)
-
-    def test_settle_false_skips_portfolio_but_keeps_ids(self):
-        specs = _random_specs(3, 200)
-        times = list(range(1, len(specs) + 1))
-        settled = _build_core()
-        unsettled = _build_core()
-        settled.process_batch([Order(**s) for s in specs], times)
-        stats = unsettled.process_batch([Order(**s) for s in specs], times, settle=False)
-        assert stats.trades > 0
-        assert unsettled.portfolio.trades_applied == 0
-        assert settled.portfolio.trades_applied == stats.trades
-        # Identical book evolution and trade-id consumption either way.
-        assert _book_state(unsettled) == _book_state(settled)
-        assert next(unsettled._trade_ids) == next(settled._trade_ids)
-
-    def test_rejects_configured_risk_paths(self):
-        core = _build_core()
-        core.self_trade_prevention = True
-        with pytest.raises(ValueError):
-            core.process_batch([], [])
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("config", sorted(CONFIGURED))
+    def test_configured_core_matches_scalar_path(self, config, seed):
+        scalar = _assert_batch_equals_scalar(seed, CONFIGURED[config])
+        # Each configured path must actually fire on this stream.
+        if config in ("stp", "all"):
+            assert scalar.stp_cancellations > 0
+        if config in ("breaker", "all"):
+            assert scalar.halt_rejects > 0
+        if config in ("risk", "all"):
+            assert scalar.risk_rejects > 0
 
     def test_stats_merge_and_dict_roundtrip(self):
         a = BatchMatchStats(orders=2, filled=1, accepted=1, trades=3, traded_qty=9, notional=90)

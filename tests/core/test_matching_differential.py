@@ -2,10 +2,11 @@
 
 The reference implementation below is deliberately simple (linear
 scans over flat lists, no heaps, no price levels) and was written
-independently of :mod:`repro.core.matching`.  Hypothesis drives both
-with identical order flow and requires identical trades -- same
-counterparties, prices, and quantities in the same sequence -- plus
-identical final book contents.
+independently of :mod:`repro.core.matching`.  Hypothesis drives it and
+both engine entry points (``process_order`` per order, ``process_batch``
+over the whole flow) with identical order flow and requires identical
+trades -- same counterparties, prices, and quantities in the same
+sequence -- plus identical final book contents.
 """
 
 from __future__ import annotations
@@ -103,18 +104,16 @@ def _engine_book_contents(core: MatchingEngineCore):
 )
 @settings(max_examples=300, deadline=None)
 def test_engine_matches_reference(flow):
-    portfolio = PortfolioMatrix(default_cash=10**9)
-    for pid in ("p1", "p2", "p3"):
-        portfolio.open_account(pid)
-    core = MatchingEngineCore(["S"], portfolio)
-    reference = ReferenceMatcher()
+    def build_core():
+        portfolio = PortfolioMatrix(default_cash=10**9)
+        for pid in ("p1", "p2", "p3"):
+            portfolio.open_account(pid)
+        return MatchingEngineCore(["S"], portfolio)
 
-    engine_trades = []
-    for i, (side, qty, price, pid, ts) in enumerate(flow):
-        coid = 1_000 + i
-        result = core.process_order(
-            Order(
-                client_order_id=coid,
+    def orders():
+        for i, (side, qty, price, pid, ts) in enumerate(flow):
+            yield Order(
+                client_order_id=1_000 + i,
                 participant_id=pid,
                 symbol="S",
                 side=side,
@@ -124,15 +123,33 @@ def test_engine_matches_reference(flow):
                 gateway_id="g",
                 gateway_timestamp=ts,
                 gateway_seq=i,
-            ),
-            now_local=i,
+            )
+
+    reference = ReferenceMatcher()
+    for i, (side, qty, price, pid, ts) in enumerate(flow):
+        reference.process(
+            _RefOrder(coid=1_000 + i, participant=pid, side=side, qty=qty, price=price, ts=ts, seq=i)
         )
+
+    core = build_core()
+    engine_trades = []
+    for i, order in enumerate(orders()):
+        result = core.process_order(order, now_local=i)
         engine_trades.extend(
             (t.buyer, t.seller, t.price, t.quantity) for t in result.trades
         )
-        reference.process(
-            _RefOrder(coid=coid, participant=pid, side=side, qty=qty, price=price, ts=ts, seq=i)
-        )
-
     assert engine_trades == reference.trades
     assert _engine_book_contents(core) == tuple(reference.book_contents())
+
+    # The batch wrapper runs the same loop over the same flow.
+    batched = build_core()
+    batch_trades = []
+    batched.process_batch(
+        list(orders()),
+        range(len(flow)),
+        lambda symbol, price, qty, buyer, seller, trade_id: batch_trades.append(
+            (buyer.participant_id, seller.participant_id, price, qty)
+        ),
+    )
+    assert batch_trades == reference.trades
+    assert _engine_book_contents(batched) == tuple(reference.book_contents())

@@ -38,6 +38,28 @@ class TestShardRunConfig:
         with pytest.raises(ValueError):
             ShardRunConfig(portfolio_buckets=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("min_qty", 0),
+            ("max_qty", 0),  # below the default min_qty of 1
+            ("market_order_fraction", 1.5),
+            ("market_order_fraction", -0.1),
+            ("aggression", -0.5),
+            ("aggression", 1.01),
+            ("rate_per_participant_s", 0.0),
+            ("rate_per_participant_s", -1.0),
+        ],
+    )
+    def test_rejects_out_of_range_workload_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ShardRunConfig(**{field: value})
+
+    def test_workload_field_edges_stay_valid(self):
+        ShardRunConfig(market_order_fraction=0.0, aggression=0.0)
+        ShardRunConfig(market_order_fraction=1.0, aggression=1.0)
+        ShardRunConfig(min_qty=5, max_qty=5)
+
     def test_lookahead_derivation(self):
         config = ShardRunConfig(md_publish_interval_ms=10.0, gateway_base_latency_us=80.0)
         assert config.lookahead_ns() == 10_000_000 + 2 * 80_000
